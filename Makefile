@@ -30,7 +30,7 @@ verify:
 	$(GO) vet ./...
 	$(GO) run ./internal/tools/exportlint $(wildcard internal/*) pkg/api pkg/client
 	$(GO) test -shuffle=on ./...
-	$(GO) test -race -shuffle=on ./internal/serve/... ./internal/core/... ./internal/fleet/... ./internal/retrieval/...
+	$(GO) test -race -shuffle=on ./internal/serve/... ./internal/core/... ./internal/fleet/... ./internal/retrieval/... ./internal/nn/...
 
 # serve-smoke boots liteserve on a random port, issues one /recommend and
 # one /feedback request, and asserts both return 200.

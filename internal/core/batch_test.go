@@ -18,10 +18,46 @@ import (
 	"sync"
 	"testing"
 
+	"lite/internal/feature"
 	"lite/internal/instrument"
 	"lite/internal/sparksim"
 	"lite/internal/workload"
 )
+
+// scoreGraph is the historical per-candidate scoring path through the
+// autograd graph (one full CNN+GCN+tower forward per stage per call): the
+// bitwise reference the batched inference kernel is tested against.
+func (s *AppScorer) scoreGraph(cfg sparksim.Config) (float64, bool) {
+	// The candidate-dependent dense sections are shared by every stage of
+	// this candidate: compute them once, not once per stage.
+	knobs := cfg.Normalized()
+	derived := feature.DerivedResourceFeatures(cfg, s.data, s.env)
+	perStage := make(map[int]float64, len(s.stages))
+	ok := true
+	for _, st := range s.stages {
+		dense := make([]float64, 0, feature.DenseWidth)
+		dense = append(dense, knobs...)
+		dense = append(dense, s.shared...)
+		dense = append(dense, derived...)
+		sec, fin := s.model.PredictSecondsChecked(&Encoded{
+			StageIndex: st.index,
+			TokenIDs:   st.toks,
+			NodeFeats:  st.dag.nodes,
+			AHat:       st.dag.aHat,
+			Dense:      dense,
+			Weight:     1,
+		})
+		perStage[st.index] = sec
+		ok = ok && fin
+	}
+	// Sum in plan order, exactly as PredictApp always has, so the
+	// aggregate is bit-identical to the batched path.
+	var total float64
+	for _, si := range s.plan {
+		total += perStage[si]
+	}
+	return total, ok
+}
 
 // batchTestTuner trains a tiny tuner for kernel-equivalence tests.
 func batchTestTuner(t *testing.T) *Tuner {

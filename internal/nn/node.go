@@ -14,6 +14,7 @@ package nn
 
 import (
 	"fmt"
+	"sync"
 
 	"lite/internal/tensor"
 )
@@ -96,7 +97,9 @@ func Backward(root *Node) {
 	if root.Value.Size() != 1 {
 		panic("nn: Backward root must be scalar")
 	}
-	order := topoSort(root)
+	ts := topoPool.Get().(*topoScratch)
+	defer ts.release()
+	order := ts.sort(root)
 	root.ensureGrad().Data[0] = 1
 	for i := len(order) - 1; i >= 0; i-- {
 		n := order[i]
@@ -113,18 +116,42 @@ func Backward(root *Node) {
 	}
 }
 
-// topoSort returns nodes in topological order (parents before children),
-// restricted to the subgraph that requires gradients.
-func topoSort(root *Node) []*Node {
-	var order []*Node
-	seen := map[*Node]bool{}
+// topoFrame is one entry of the topological sort's iterative DFS stack.
+type topoFrame struct {
+	n     *Node
+	child int
+}
+
+// topoScratch is the reusable workspace of one topological sort. Backward
+// runs once per training instance, so the visited set and the stacks are
+// recycled through topoPool instead of being rebuilt every call.
+type topoScratch struct {
+	seen  map[*Node]bool
+	stack []topoFrame
+	order []*Node
+}
+
+var topoPool = sync.Pool{New: func() any {
+	return &topoScratch{seen: map[*Node]bool{}}
+}}
+
+// release drops every node reference — a pooled workspace must not keep a
+// finished graph alive — and returns the workspace to topoPool.
+func (ts *topoScratch) release() {
+	clear(ts.seen)
+	clear(ts.order)
+	ts.order = ts.order[:0]
+	topoPool.Put(ts)
+}
+
+// sort returns nodes in topological order (parents before children),
+// restricted to the subgraph that requires gradients. The slice is valid
+// until release.
+func (ts *topoScratch) sort(root *Node) []*Node {
+	seen := ts.seen
 	// Iterative DFS to avoid deep recursion on long chains (LSTM over
 	// hundreds of timesteps).
-	type frame struct {
-		n     *Node
-		child int
-	}
-	stack := []frame{{n: root}}
+	stack := append(ts.stack[:0], topoFrame{n: root})
 	seen[root] = true
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
@@ -133,12 +160,14 @@ func topoSort(root *Node) []*Node {
 			f.child++
 			if !seen[p] && p.requiresGrad {
 				seen[p] = true
-				stack = append(stack, frame{n: p})
+				stack = append(stack, topoFrame{n: p})
 			}
 			continue
 		}
-		order = append(order, f.n)
+		ts.order = append(ts.order, f.n)
 		stack = stack[:len(stack)-1]
 	}
-	return order
+	clear(stack[:cap(stack)])
+	ts.stack = stack[:0]
+	return ts.order
 }

@@ -15,7 +15,18 @@ func MatMul(a, b *Node) *Node {
 			a.accumGrad(tensor.MatMulTransB(g, b.Value))
 		}
 		if b.requiresGrad {
-			b.accumGrad(tensor.MatMulTransA(a.Value, g))
+			if a.Value.Rows == 1 {
+				// A row-vector input (every Dense layer of the NECS tower
+				// and code projection): aᵀg is an outer product of single
+				// products, added straight into the gradient with the
+				// same one addition per element a temporary would carry.
+				// Gradient buffers start at +0 and only receive additions
+				// until ZeroGrad, so they are never −0, the one case where
+				// the two differ (see tensor.AddOuterInPlace).
+				tensor.AddOuterInPlace(b.ensureGrad(), a.Value.Data, g.Data)
+			} else {
+				b.accumGrad(tensor.MatMulTransA(a.Value, g))
+			}
 		}
 	}
 	return newNode(v, back, a, b)

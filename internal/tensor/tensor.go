@@ -3,8 +3,9 @@
 // internal/nn. Tensors are rank-1 or rank-2, stored row-major.
 //
 // The package is deliberately small: it implements exactly the operations
-// the LITE models need (matmul, broadcast arithmetic, reductions,
-// convolution helpers) with no external dependencies.
+// the LITE models need (matmul, broadcast arithmetic, reductions) with no
+// external dependencies. The NECS convolution kernels live in internal/nn
+// (conv.go), next to their backward passes.
 package tensor
 
 import (
@@ -160,6 +161,27 @@ func MatMulTransA(a, b *Tensor) *Tensor {
 		}
 	}
 	return out
+}
+
+// AddOuterInPlace adds the outer product uᵀv into a in place:
+// a[i,j] += u[i]·v[j], for a of shape len(u)×len(v). Rows with u[i] == 0
+// are skipped, mirroring MatMulTransA's zero skip, so for 1-row u and v it
+// computes AddInPlace(a, MatMulTransA(u, v)) bit for bit — each element
+// receives the same single product — provided no element of a is −0 (a
+// temporary would have turned a −0 product into +0 before the add).
+func AddOuterInPlace(a *Tensor, u, v []float64) {
+	if a.Rows != len(u) || a.Cols != len(v) {
+		panic(fmt.Sprintf("tensor: outer product %d×%d into %dx%d", len(u), len(v), a.Rows, a.Cols))
+	}
+	for i, uv := range u {
+		if uv == 0 {
+			continue
+		}
+		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
+		for j, vv := range v[:len(arow)] {
+			arow[j] += uv * vv
+		}
+	}
 }
 
 // MatMulTransB computes a×bᵀ into a new tensor.

@@ -75,6 +75,35 @@ func TestMatMulTransAMatchesExplicitTranspose(t *testing.T) {
 	}
 }
 
+// TestAddOuterInPlaceMatchesMatMulTransA pins AddOuterInPlace to the
+// temporary-tensor form it replaces in the dense-layer backward, bit for
+// bit, including zero, signed-zero and non-finite factors. The accumulator
+// is never −0, like every gradient buffer (see AddOuterInPlace).
+func TestAddOuterInPlaceMatchesMatMulTransA(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	specials := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 1e-320}
+	for trial := 0; trial < 100; trial++ {
+		rows, cols := 1+rng.Intn(9), 1+rng.Intn(9)
+		u, v := Randn(1, rows, 1, rng), Randn(1, cols, 1, rng)
+		for i := 0; i < 3; i++ {
+			u.Data[rng.Intn(rows)] = specials[rng.Intn(len(specials))]
+			v.Data[rng.Intn(cols)] = specials[rng.Intn(len(specials))]
+		}
+		got := Randn(rows, cols, 1, rng)
+		if trial%3 == 0 {
+			got.Zero()
+		}
+		want := got.Clone()
+		AddInPlace(want, MatMulTransA(u, v))
+		AddOuterInPlace(got, u.Data, v.Data)
+		for i := range got.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("trial %d [%d]: %v != reference %v", trial, i, got.Data[i], want.Data[i])
+			}
+		}
+	}
+}
+
 func TestMatMulTransBMatchesExplicitTranspose(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := Randn(4, 3, 1, rng)

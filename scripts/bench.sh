@@ -19,7 +19,9 @@ trap 'rm -f "$raw"' EXIT
 echo "bench: running BenchmarkRecommend + BenchmarkFit (-benchtime $BENCHTIME)…" >&2
 go test -run '^$' -bench 'BenchmarkRecommend|BenchmarkFit' -benchtime "$BENCHTIME" . | tee "$raw" >&2
 
-cores="$(go env GOMAXPROCS 2>/dev/null || true)"
+# GOMAXPROCS from the environment is what the benchmark binary ran with
+# (`go env` does not report it); otherwise the runtime uses every CPU.
+cores="${GOMAXPROCS:-}"
 if [[ -z "$cores" || "$cores" == "0" ]]; then
     cores="$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)"
 fi
