@@ -24,13 +24,18 @@ lint:
 
 # verify is the tier-1 gate plus the serving-stack race check: everything
 # must compile, every test pass, every exported symbol be documented, and
-# the concurrent read/hot-swap paths be clean under the race detector.
+# the concurrent read/hot-swap paths be clean under the race detector. The
+# serving benchmark is a module of its own (servebench/go.mod) that the root
+# ./... skips, so it is vetted and short-tested separately: it compiles
+# against serve.Options and must keep doing so.
 verify:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) run ./internal/tools/exportlint $(wildcard internal/*) pkg/api pkg/client
 	$(GO) test -shuffle=on ./...
 	$(GO) test -race -shuffle=on ./internal/serve/... ./internal/core/... ./internal/fleet/... ./internal/retrieval/... ./internal/nn/...
+	$(GO) -C servebench vet ./...
+	$(GO) -C servebench test -short ./...
 
 # serve-smoke boots liteserve on a random port, issues one /recommend and
 # one /feedback request, and asserts both return 200.

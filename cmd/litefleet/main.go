@@ -3,7 +3,7 @@
 // ephemeral ports — shard0 as the trainer with a feedback WAL and snapshot
 // persistence, the rest as followers — and serves a consistent-hash router
 // in front of them. Requests are placed by the same (app, datasize bucket,
-// env fingerprint) key the per-shard cache and batcher use, dead or slow
+// env fingerprint) key the per-shard cache uses, dead or slow
 // shards are health-checked out of the ring (their arc falls to ring
 // successors) and re-admitted with backoff when they recover, crashed
 // shard processes are restarted, and every model generation the trainer
@@ -16,8 +16,10 @@
 //	litefleet -shards 3 -model lite-tuner.json -dir fleet-state/
 //	liteload -url http://127.0.0.1:8380        # drive the fleet
 //
-// Router endpoints: POST /recommend, POST /feedback (proxied by key),
-// GET /healthz (fleet + per-shard JSON), GET /metrics (lite_fleet_*).
+// Router endpoints: POST /v1/recommend, POST /v1/feedback (proxied by key),
+// GET /v1/healthz (fleet + per-shard JSON), /v1/tuning/sessions (placed by
+// key), GET /metrics (lite_fleet_*). Any other path answers 404 with the
+// /v1 error envelope.
 package main
 
 import (

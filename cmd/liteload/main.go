@@ -1,9 +1,10 @@
 // Command liteload is the load generator for the LITE recommendation
 // service. By default it trains one model, then benchmarks the serving
-// stack twice over identical repeated-key traffic — once with the cache
-// and micro-batcher disabled (baseline) and once enabled — and reports
-// p50/p99 latency, throughput, cache hit rate and inference batch sizes,
-// demonstrating the win on repeated-key traffic.
+// stack twice over identical repeated-key traffic — once with the
+// recommendation cache off and once with it on — and reports p50/p99
+// latency, throughput, cache hit rate and singleflight-coalesced answers.
+// With the cache off every request runs the tier chain itself, so the pair
+// isolates what the cache buys on repeated-key traffic.
 //
 // Usage:
 //
@@ -77,44 +78,35 @@ func main() {
 	fmt.Fprintf(os.Stderr, "training model for the benchmark…\n")
 	tuner, source := trainQuick(*configs, *seed)
 
-	baseline := serve.New(tuner.CloneForUpdate(*seed), serve.Options{
-		DisableCache:   true,
-		DisableBatcher: true,
-		MaxInFlight:    *maxInFlight,
-		SourceSample:   source,
-		Seed:           *seed,
-	})
-	baseline.Start()
-	fmt.Fprintf(os.Stderr, "pass 1/2: cache+batcher disabled (%d requests, %d workers)…\n", *n, *c)
-	resBase := runLocal(baseline, reqs, *c, *timeout)
-	shutdown(baseline)
-
-	full := serve.New(tuner.CloneForUpdate(*seed), serve.Options{
-		CacheTTL:     30 * time.Second,
-		BatchMax:     16,
-		BatchWindow:  2 * time.Millisecond,
-		MaxInFlight:  *maxInFlight,
-		SourceSample: source,
-		Seed:         *seed,
-	})
-	full.Start()
-	fmt.Fprintf(os.Stderr, "pass 2/2: cache+batcher enabled…\n")
-	resFull := runLocal(full, reqs, *c, *timeout)
-	shutdown(full)
+	local := func(i int, name string, noCache bool) runResult {
+		s := serve.New(tuner.CloneForUpdate(*seed), serve.Options{
+			CacheTTL:     30 * time.Second,
+			DisableCache: noCache,
+			MaxInFlight:  *maxInFlight,
+			SourceSample: source,
+			Seed:         *seed,
+		})
+		s.Start()
+		defer shutdown(s)
+		fmt.Fprintf(os.Stderr, "pass %d/2: %s (%d requests, %d workers)…\n", i, name, *n, *c)
+		return runLocal(s, reqs, *c, *timeout)
+	}
+	resOff := local(1, "cache off", true)
+	resOn := local(2, "cache on", false)
 
 	printReport([]pass{
-		{name: "baseline (no cache, no batch)", res: resBase, n: *n},
-		{name: "cache + micro-batcher", res: resFull, n: *n},
+		{name: "cache off", res: resOff, n: *n},
+		{name: "cache on", res: resOn, n: *n},
 	})
-	if resBase.errors == 0 && resFull.errors == 0 && resFull.wall < resBase.wall {
+	if resOff.errors == 0 && resOn.errors == 0 && resOn.wall < resOff.wall {
 		fmt.Printf("\nthroughput win on repeated-key traffic: %.1fx\n",
-			float64(resBase.wall)/float64(resFull.wall))
+			float64(resOff.wall)/float64(resOn.wall))
 	}
 }
 
 // makeTraffic builds a deterministic repeated-key workload: keys are
 // (app, size, cluster) combos, drawn Zipf-skewed so a few keys are hot —
-// the regime the cache and batcher are built for.
+// the regime the cache is built for.
 func makeTraffic(n, keys int, seed int64) []serve.RecommendRequest {
 	apps := workload.All()
 	clusters := []string{"A", "B", "C"}
@@ -160,9 +152,6 @@ type runResult struct {
 	shed      int
 	cached    int
 	coalesced int
-	batchMax  int
-	batchSum  int
-	batchN    int
 
 	// Recovery-aware accounting (remote mode): down counts requests that
 	// failed at the connection level — the server was dead or restarting —
@@ -460,13 +449,6 @@ func record(res *runResult, resp serve.RecommendResponse) {
 	if resp.Coalesced {
 		res.coalesced++
 	}
-	if resp.BatchSize > 0 && !resp.Cached {
-		res.batchSum += resp.BatchSize
-		res.batchN++
-		if resp.BatchSize > res.batchMax {
-			res.batchMax = resp.BatchSize
-		}
-	}
 }
 
 type pass struct {
@@ -476,8 +458,8 @@ type pass struct {
 }
 
 func printReport(passes []pass) {
-	fmt.Printf("\n%-30s %-8s %-7s %-9s %-5s %-6s %-9s %-10s %-10s %-12s %-10s %-11s %s\n",
-		"pass", "reqs", "errors", "deadline", "shed", "down", "ttfs", "p50", "p99", "throughput", "cache-hit", "mean-batch", "max-batch")
+	fmt.Printf("\n%-30s %-8s %-7s %-9s %-5s %-6s %-9s %-10s %-10s %-12s %-10s %s\n",
+		"pass", "reqs", "errors", "deadline", "shed", "down", "ttfs", "p50", "p99", "throughput", "cache-hit", "coalesced")
 	for _, p := range passes {
 		r := p.res
 		sort.Slice(r.lats, func(a, b int) bool { return r.lats[a] < r.lats[b] })
@@ -486,21 +468,17 @@ func printReport(passes []pass) {
 		if served > 0 {
 			hitRate = float64(r.cached) / float64(served)
 		}
-		meanBatch := 0.0
-		if r.batchN > 0 {
-			meanBatch = float64(r.batchSum) / float64(r.batchN)
-		}
 		ttfs := "-"
 		if r.ttfs > 0 {
 			ttfs = roundDur(r.ttfs).String()
 		}
-		fmt.Printf("%-30s %-8d %-7d %-9d %-5d %-6d %-9s %-10v %-10v %-12s %-10s %-11.2f %d\n",
+		fmt.Printf("%-30s %-8d %-7d %-9d %-5d %-6d %-9s %-10v %-10v %-12s %-10s %d\n",
 			p.name, p.n, r.errors, r.deadline, r.shed, r.down, ttfs,
 			roundDur(quantile(r.lats, 0.50)),
 			roundDur(quantile(r.lats, 0.99)),
 			fmt.Sprintf("%.0f/s", float64(served)/r.wall.Seconds()),
 			fmt.Sprintf("%.0f%%", hitRate*100),
-			meanBatch, r.batchMax)
+			r.coalesced)
 	}
 	for _, p := range passes {
 		printShardReport(p.res)

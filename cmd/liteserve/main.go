@@ -1,6 +1,6 @@
 // Command liteserve runs the LITE recommendation service: an HTTP server
 // that serves knob recommendations from an immutable model snapshot,
-// micro-batches concurrent inference, caches repeated-key answers, and
+// caches repeated-key answers (a stampede on one key computes once), and
 // folds posted execution feedback back into the model with an online
 // adaptive-update loop that hot-swaps snapshots without blocking readers.
 //
@@ -19,9 +19,7 @@
 //	GET  /metrics
 //	POST /v1/admin/flip (only with -admin / -follower: fleet hot-swap)
 //
-// The unversioned spellings (/recommend, /feedback, /healthz, /admin/flip)
-// remain as deprecated shims: same behaviour, plus a Deprecation header
-// and the lite_http_legacy_requests_total counter.
+// Any other path answers 404 with the /v1 error envelope.
 //
 // As a fleet shard (cmd/litefleet spawns these): -follower disables local
 // retraining so the model only moves via coordinated flips, and the
@@ -55,10 +53,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	cacheTTL := flag.Duration("cache-ttl", 30*time.Second, "recommendation cache TTL")
 	noCache := flag.Bool("no-cache", false, "disable the recommendation cache")
-	batchMax := flag.Int("batch-max", 16, "max requests per inference micro-batch")
-	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "micro-batch latency cutoff")
-	noBatch := flag.Bool("no-batch", false, "disable inference micro-batching")
-	requestTimeout := flag.Duration("request-timeout", 10*time.Second, "per-request deadline for /recommend and /feedback (0 = none); blown deadlines return 504")
+	requestTimeout := flag.Duration("request-timeout", 10*time.Second, "per-request deadline for /v1/recommend and /v1/feedback (0 = none); blown deadlines return 504")
 	maxInFlight := flag.Int("max-inflight", 256, "max concurrent requests in the pipeline before load shedding (0 = unbounded); shed requests return 503 + Retry-After")
 	updateBatch := flag.Int("update-batch", 8, "feedback runs per adaptive model update")
 	snapshotPath := flag.String("snapshot", "", "persist each published model snapshot to this file; an existing file is loaded at boot (crash resume)")
@@ -72,7 +67,7 @@ func main() {
 	sourceSampleN := flag.Int("source-sample", 256, "source-domain instances mixed into each update (0 with -model)")
 	workers := flag.Int("workers", 0, "candidate-scoring goroutines (0 = GOMAXPROCS, 1 = serial)")
 	fitWorkers := flag.Int("fit-workers", 0, "data-parallel training replicas for boot-train and adaptive updates (0 = serial)")
-	follower := flag.Bool("follower", false, "fleet follower mode: no local retraining, the model advances only via POST /admin/flip (implies -admin)")
+	follower := flag.Bool("follower", false, "fleet follower mode: no local retraining, the model advances only via POST /v1/admin/flip (implies -admin)")
 	admin := flag.Bool("admin", false, "expose POST /v1/admin/flip (fleet-coordinated hot-swap)")
 	sessionDir := flag.String("session-dir", "", "tuning-session WAL+snapshot directory (default <wal-dir>/sessions when -wal-dir is set; empty without it = in-memory sessions)")
 	sessionBound := flag.Float64("session-bound", 0, "default session safety bound: a trial is a violation when it runs worse than bound x the measured baseline (0 = built-in 1.5)")
@@ -92,9 +87,6 @@ func main() {
 	s := serve.New(tuner, serve.Options{
 		CacheTTL:        *cacheTTL,
 		DisableCache:    *noCache,
-		BatchMax:        *batchMax,
-		BatchWindow:     *batchWindow,
-		DisableBatcher:  *noBatch,
 		RequestTimeout:  *requestTimeout,
 		MaxInFlight:     *maxInFlight,
 		UpdateBatch:     *updateBatch,

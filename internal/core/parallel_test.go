@@ -65,8 +65,8 @@ func TestParallelDoCountsItems(t *testing.T) {
 }
 
 // Nested fan-out must not deadlock: inner calls degrade to inline execution
-// when no helper slot is free. This mirrors the serving shape — the batcher
-// fans out over keys, and each key's recommendation fans out over candidates.
+// when no helper slot is free — e.g. an outer fan-out over requests whose
+// recommendations each fan out over candidates.
 func TestParallelDoNestedDoesNotDeadlock(t *testing.T) {
 	defer SetScoreWorkers(0)
 	SetScoreWorkers(2)

@@ -2,8 +2,8 @@ package core
 
 // This file implements the scoring worker pool: a process-wide, bounded
 // set of helper goroutines that candidate scoring (and any other
-// embarrassingly parallel read-only work, e.g. the serving batcher's
-// per-key fan-out) is spread across. Candidates are independent and the
+// embarrassingly parallel work, e.g. data-parallel training replicas) is
+// spread across. Candidates are independent and the
 // model is read-only during scoring, so the only coordination the pool
 // needs is a bound on how many goroutines run at once.
 //

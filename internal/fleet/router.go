@@ -294,8 +294,7 @@ func (rt *Router) Stop() {
 //	                                          in the session ID
 //	GET    /metrics                         — router metrics (lite_fleet_*)
 //
-// plus the unversioned legacy routes as deprecation shims (Deprecation
-// header + lite_http_legacy_requests_total counter, same semantics).
+// Any other path answers 404 with the /v1 error envelope.
 // Session results answered by a non-trainer shard have their Promotion
 // teed to the trainer: the trainer owns promotion fleet-wide.
 func (rt *Router) Handler() http.Handler {
@@ -311,40 +310,19 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("/v1/tuning/sessions/{id}", rt.handleSessionItem)
 	mux.HandleFunc("/v1/tuning/sessions/{id}/proposal", rt.handleSessionProposal)
 	mux.HandleFunc("/v1/tuning/sessions/{id}/result", rt.handleSessionResult)
-	mux.HandleFunc("/v1/", func(w http.ResponseWriter, r *http.Request) {
-		writeAPIError(w, http.StatusNotFound, api.CodeNotFound, "no such endpoint: "+r.URL.Path, 0)
-	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		rt.reg.WriteText(w)
 	})
-
-	// Legacy deprecation shims.
-	mux.Handle("/recommend", rt.legacy("recommend", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rt.proxyBody(w, r, "/v1/recommend")
-	})))
-	mux.Handle("/feedback", rt.legacy("feedback", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rt.proxyBody(w, r, "/v1/feedback")
-	})))
-	mux.Handle("/healthz", rt.legacy("healthz", http.HandlerFunc(rt.handleHealthz)))
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		writeAPIError(w, http.StatusNotFound, api.CodeNotFound, "no such endpoint: "+r.URL.Path, 0)
+	})
 	return mux
 }
 
-// legacy wraps a handler as an unversioned deprecation shim: identical
-// behaviour plus the Deprecation header and the per-endpoint legacy
-// counter the fleet smoke asserts stays 0 for new tooling.
-func (rt *Router) legacy(endpoint string, next http.Handler) http.Handler {
-	ctr := rt.reg.Counter(fmt.Sprintf("lite_http_legacy_requests_total{endpoint=%q}", endpoint))
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctr.Inc()
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s%s>; rel=\"successor-version\"", api.Version, r.URL.Path))
-		next.ServeHTTP(w, r)
-	})
-}
-
-// routingBody is the subset of a /recommend or /feedback body the router
-// needs to place the request; unknown fields are the shard's business.
+// routingBody is the subset of a /v1/recommend or /v1/feedback body the
+// router needs to place the request; unknown fields are the shard's
+// business.
 type routingBody struct {
 	App     string  `json:"app"`
 	SizeMB  float64 `json:"size_mb"`

@@ -17,8 +17,8 @@ import (
 )
 
 // fakeShard is an in-process stand-in for a liteserve shard: it serves the
-// JSON /healthz contract, echoes /recommend and /feedback, and applies
-// /admin/flip by adopting the requested generation.
+// JSON /v1/healthz contract, echoes /v1/recommend and /v1/feedback, and applies
+// /v1/admin/flip by adopting the requested generation.
 type fakeShard struct {
 	id         string
 	createdAt  string // RFC3339 stamp its fake session list advertises
@@ -160,7 +160,7 @@ func TestRouterConsistentPlacement(t *testing.T) {
 	for _, body := range testBodies() {
 		var owner string
 		for rep := 0; rep < 5; rep++ {
-			resp := post(t, front.URL+"/recommend", body)
+			resp := post(t, front.URL+"/v1/recommend", body)
 			resp.Body.Close()
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("status %d", resp.StatusCode)
@@ -176,6 +176,31 @@ func TestRouterConsistentPlacement(t *testing.T) {
 	}
 	if len(used) < 2 {
 		t.Fatalf("all keys landed on one shard: %v", used)
+	}
+}
+
+// TestRouterLegacyPaths404: the router has no unversioned routes; they,
+// like any unknown path, answer 404 with the standard error envelope and
+// are never proxied to a shard.
+func TestRouterLegacyPaths404(t *testing.T) {
+	shard := newFakeShard(t, "shard0")
+	rt := NewRouter(Options{})
+	rt.AddShard(shard.id, shard.srv.URL)
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+
+	body := recommendBody("WordCount", "C", 512)
+	for _, path := range []string{"/recommend", "/feedback", "/healthz", "/v1/nope"} {
+		resp := post(t, front.URL+path, body)
+		var env api.ErrorResponse
+		err := json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusNotFound || env.Error.Code != api.CodeNotFound {
+			t.Fatalf("POST %s = (%d, %+v, %v), want the 404 not_found envelope", path, resp.StatusCode, env, err)
+		}
+		if sh := resp.Header.Get("X-Lite-Shard"); sh != "" {
+			t.Fatalf("POST %s was proxied to shard %s", path, sh)
+		}
 	}
 }
 
@@ -214,7 +239,7 @@ func TestRouterFailoverUnderTraffic(t *testing.T) {
 					return
 				default:
 				}
-				resp, err := http.Post(front.URL+"/recommend", "application/json",
+				resp, err := http.Post(front.URL+"/v1/recommend", "application/json",
 					bytes.NewReader(bodies[(w+i)%len(bodies)]))
 				if err != nil {
 					failures.Add(1)
@@ -249,7 +274,7 @@ func TestRouterFailoverUnderTraffic(t *testing.T) {
 	// to successors and no request touches it.
 	preRecs := victim.recs.Load()
 	for _, body := range bodies {
-		resp := post(t, front.URL+"/recommend", body)
+		resp := post(t, front.URL+"/v1/recommend", body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("post-window request failed: %d", resp.StatusCode)
@@ -349,7 +374,7 @@ func TestCoordinatorFlipsFleet(t *testing.T) {
 	defer front.Close()
 	deadline = time.Now().Add(5 * time.Second)
 	for {
-		resp, err := http.Get(front.URL + "/healthz")
+		resp, err := http.Get(front.URL + "/v1/healthz")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -391,7 +416,7 @@ func TestFeedbackTee(t *testing.T) {
 	var body []byte
 	var owner string
 	for _, b := range testBodies() {
-		resp := post(t, front.URL+"/feedback", b)
+		resp := post(t, front.URL+"/v1/feedback", b)
 		resp.Body.Close()
 		if sh := resp.Header.Get("X-Lite-Shard"); sh != "shard0" {
 			body, owner = b, sh
@@ -404,7 +429,7 @@ func TestFeedbackTee(t *testing.T) {
 
 	trainerBefore := shards[0].feeds.Load()
 	for i := 0; i < 5; i++ {
-		resp := post(t, front.URL+"/feedback", body)
+		resp := post(t, front.URL+"/v1/feedback", body)
 		resp.Body.Close()
 		if got := resp.Header.Get("X-Lite-Shard"); got != owner {
 			t.Fatalf("feedback owner flapped %s -> %s", owner, got)

@@ -8,8 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"lite/internal/metrics"
 )
 
 // --- cache cancellation semantics ---
@@ -172,190 +170,6 @@ func TestCacheSingleflightErrorShared(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("post-error recompute err = %v", err)
 	}
-}
-
-// --- batcher cancellation semantics ---
-
-// TestBatcherRejectsDoomedDeadline: a request whose remaining budget cannot
-// outlive the collection window is rejected up front instead of queueing
-// work that is guaranteed to miss its deadline.
-func TestBatcherRejectsDoomedDeadline(t *testing.T) {
-	b := newBatcher(64, time.Hour, metrics.NewRegistry())
-	b.start()
-	defer b.stop()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err := b.submit(ctx, "k", func(context.Context) (RecommendResponse, error) {
-		t.Error("doomed request must not compute")
-		return RecommendResponse{}, nil
-	})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-	}
-	if d := time.Since(start); d > 5*time.Second {
-		t.Fatalf("doomed request took %v to reject", d)
-	}
-}
-
-// TestBatcherWaiterDetachOnCancel: a request cancelled while parked in the
-// collection window returns ctx.Err() promptly; its slot in the batch later
-// computes under the (cancelled) group context and the result is dropped
-// into the buffered channel, so nothing hangs at shutdown.
-func TestBatcherWaiterDetachOnCancel(t *testing.T) {
-	b := newBatcher(64, time.Hour, metrics.NewRegistry())
-	b.start()
-
-	var sawCancelled atomic.Bool
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := b.submit(ctx, "k", func(gctx context.Context) (RecommendResponse, error) {
-			if gctx.Err() != nil {
-				sawCancelled.Store(true)
-			}
-			return RecommendResponse{}, gctx.Err()
-		})
-		done <- err
-	}()
-	time.Sleep(20 * time.Millisecond) // enqueue + park in the hour-long window
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("cancelled submit did not detach from the batch window")
-	}
-
-	// stop() flushes the pending batch; the abandoned request's compute runs
-	// under its cancelled context and must not block shutdown.
-	stopped := make(chan struct{})
-	go func() { b.stop(); close(stopped) }()
-	select {
-	case <-stopped:
-	case <-time.After(10 * time.Second):
-		t.Fatal("stop() hung on an abandoned request")
-	}
-	if !sawCancelled.Load() {
-		t.Fatal("abandoned slot's compute did not observe the cancellation")
-	}
-}
-
-// TestBatcherStopMidFlight: requests already collected when stop() lands
-// are flushed and answered; requests racing in after stop compute directly.
-// Either way every waiter completes — none hang.
-func TestBatcherStopMidFlight(t *testing.T) {
-	b := newBatcher(64, time.Hour, metrics.NewRegistry())
-	b.start()
-
-	const n = 8
-	var computes atomic.Int32
-	errs := make(chan error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, err := b.submit(context.Background(), fmt.Sprintf("k%d", i),
-				func(context.Context) (RecommendResponse, error) {
-					computes.Add(1)
-					return RecommendResponse{Tier: "necs"}, nil
-				})
-			errs <- err
-		}(i)
-	}
-	time.Sleep(50 * time.Millisecond) // let the submits enqueue into pending
-
-	finished := make(chan struct{})
-	go func() { wg.Wait(); close(finished) }()
-	b.stop()
-	select {
-	case <-finished:
-	case <-time.After(10 * time.Second):
-		t.Fatal("waiters hung across stop()")
-	}
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Fatalf("mid-flight request err = %v", err)
-		}
-	}
-	if got := computes.Load(); got != n {
-		t.Fatalf("%d computes for %d distinct keys", got, n)
-	}
-
-	// A submit after stop short-circuits to direct computation.
-	resp, err := b.submit(context.Background(), "late", func(context.Context) (RecommendResponse, error) {
-		return RecommendResponse{Tier: "necs"}, nil
-	})
-	if err != nil || resp.Tier != "necs" {
-		t.Fatalf("post-stop submit: resp=%+v err=%v", resp, err)
-	}
-}
-
-// TestGroupContext: the group's compute context is cancelled only when
-// every sharer has cancelled; an uncancellable member pins it alive.
-func TestGroupContext(t *testing.T) {
-	mkReq := func(ctx context.Context) *batchReq { return &batchReq{ctx: ctx, key: "k"} }
-
-	t.Run("all background", func(t *testing.T) {
-		gctx, release := groupContext([]*batchReq{mkReq(context.Background()), mkReq(context.Background())})
-		defer release()
-		if gctx.Done() != nil {
-			t.Fatal("uncancellable group must get an uncancellable context")
-		}
-	})
-
-	t.Run("single member shares its context", func(t *testing.T) {
-		ctx, cancel := context.WithCancel(context.Background())
-		gctx, release := groupContext([]*batchReq{mkReq(ctx)})
-		defer release()
-		cancel()
-		if gctx.Err() == nil {
-			t.Fatal("sole member's cancellation must cancel the compute")
-		}
-	})
-
-	t.Run("one of two cancels: compute survives", func(t *testing.T) {
-		ctx1, cancel1 := context.WithCancel(context.Background())
-		ctx2, cancel2 := context.WithCancel(context.Background())
-		defer cancel2()
-		gctx, release := groupContext([]*batchReq{mkReq(ctx1), mkReq(ctx2)})
-		defer release()
-		cancel1()
-		select {
-		case <-gctx.Done():
-			t.Fatal("one impatient caller killed the shared compute")
-		case <-time.After(50 * time.Millisecond):
-		}
-	})
-
-	t.Run("all cancel: compute cancelled", func(t *testing.T) {
-		ctx1, cancel1 := context.WithCancel(context.Background())
-		ctx2, cancel2 := context.WithCancel(context.Background())
-		gctx, release := groupContext([]*batchReq{mkReq(ctx1), mkReq(ctx2)})
-		defer release()
-		cancel1()
-		cancel2()
-		select {
-		case <-gctx.Done():
-		case <-time.After(10 * time.Second):
-			t.Fatal("group context not cancelled after every sharer cancelled")
-		}
-	})
-
-	t.Run("background member pins compute alive", func(t *testing.T) {
-		ctx1, cancel1 := context.WithCancel(context.Background())
-		gctx, release := groupContext([]*batchReq{mkReq(ctx1), mkReq(context.Background())})
-		defer release()
-		cancel1()
-		if gctx.Done() != nil {
-			t.Fatal("background member must make the group uncancellable")
-		}
-	})
 }
 
 // waitFor polls cond until true or fails the test after a generous timeout.

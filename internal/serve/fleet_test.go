@@ -82,7 +82,7 @@ func TestFlipEndpoint(t *testing.T) {
 	// Without -admin the endpoint must not exist.
 	plain := newTestServer(t, Options{})
 	srv := httptest.NewServer(plain.Handler())
-	res, err := http.Post(srv.URL+"/admin/flip", "application/json",
+	res, err := http.Post(srv.URL+"/v1/admin/flip", "application/json",
 		strings.NewReader(`{"snapshot_path":"x","generation":1}`))
 	if err != nil {
 		t.Fatal(err)
@@ -90,14 +90,14 @@ func TestFlipEndpoint(t *testing.T) {
 	res.Body.Close()
 	srv.Close()
 	if res.StatusCode != http.StatusNotFound {
-		t.Fatalf("/admin/flip without EnableAdmin: status %d, want 404", res.StatusCode)
+		t.Fatalf("/v1/admin/flip without EnableAdmin: status %d, want 404", res.StatusCode)
 	}
 
 	s := newTestServer(t, Options{EnableAdmin: true})
 	srv = httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	res, err = http.Post(srv.URL+"/admin/flip", "application/json",
+	res, err = http.Post(srv.URL+"/v1/admin/flip", "application/json",
 		strings.NewReader(`{"snapshot_path":"","generation":0}`))
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func TestFlipEndpoint(t *testing.T) {
 	}
 
 	body, _ := json.Marshal(FlipRequest{SnapshotPath: snap, Generation: 7})
-	res, err = http.Post(srv.URL+"/admin/flip", "application/json", strings.NewReader(string(body)))
+	res, err = http.Post(srv.URL+"/v1/admin/flip", "application/json", strings.NewReader(string(body)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestFollowerMode(t *testing.T) {
 	defer srv.Close()
 
 	for i := 0; i < 3; i++ {
-		res, err := http.Post(srv.URL+"/feedback", "application/json",
+		res, err := http.Post(srv.URL+"/v1/feedback", "application/json",
 			strings.NewReader(`{"app":"WordCount","size_mb":512,"cluster":"C"}`))
 		if err != nil {
 			t.Fatal(err)
@@ -160,13 +160,13 @@ func TestFollowerMode(t *testing.T) {
 
 	snap := saveTestSnapshot(t)
 	body, _ := json.Marshal(FlipRequest{SnapshotPath: snap, Generation: 2})
-	res, err := http.Post(srv.URL+"/admin/flip", "application/json", strings.NewReader(string(body)))
+	res, err := http.Post(srv.URL+"/v1/admin/flip", "application/json", strings.NewReader(string(body)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	res.Body.Close()
 	if res.StatusCode != http.StatusOK {
-		t.Fatalf("follower /admin/flip status %d, want 200 (Follower implies EnableAdmin)", res.StatusCode)
+		t.Fatalf("follower /v1/admin/flip status %d, want 200 (Follower implies EnableAdmin)", res.StatusCode)
 	}
 	if got := s.Snapshot().Gen; got != 2 {
 		t.Fatalf("follower generation %d after flip, want 2", got)
@@ -180,7 +180,7 @@ func TestHealthzRichFields(t *testing.T) {
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	res, err := http.Get(srv.URL + "/healthz")
+	res, err := http.Get(srv.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,14 +31,8 @@ import (
 //
 // Every /v1 endpoint is instrumented with request counters (by status
 // code) and latency histograms, and every failure — including 404s for
-// unknown /v1 paths and 405s for wrong methods — returns the unified
-// error envelope {"error": {"code", "message", "retry_after_ms?"}}.
-//
-// The original unversioned routes (/recommend, /feedback, /healthz,
-// /admin/flip) remain as thin deprecation shims: same handlers, plus a
-// `Deprecation` header, a successor-version Link, and a
-// lite_http_legacy_requests_total counter. New tooling must keep that
-// counter at zero.
+// unknown paths and 405s for wrong methods — returns the unified error
+// envelope {"error": {"code", "message", "retry_after_ms?"}}.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/v1/recommend", s.instrument("recommend", http.HandlerFunc(s.handleRecommend)))
@@ -51,36 +45,14 @@ func (s *Server) Handler() http.Handler {
 	if s.opts.EnableAdmin {
 		mux.Handle("/v1/admin/flip", s.instrument("admin_flip", http.HandlerFunc(s.handleFlip)))
 	}
-	// Unknown /v1 paths answer with the envelope, not the mux's plain-text
-	// 404 — /v1 clients should never have to parse two error shapes.
-	mux.Handle("/v1/", s.instrument("v1_unknown", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/metrics", s.handleMetrics)
+	// Unknown paths (the removed unversioned routes included) answer with
+	// the envelope, not the mux's plain-text 404 — clients should never
+	// have to parse two error shapes.
+	mux.Handle("/", s.instrument("unknown", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		s.writeAPIError(w, http.StatusNotFound, api.CodeNotFound, "no such endpoint: "+r.URL.Path, 0)
 	})))
-	mux.HandleFunc("/metrics", s.handleMetrics)
-
-	// Legacy deprecation shims.
-	mux.Handle("/recommend", s.legacy("recommend", http.HandlerFunc(s.handleRecommend)))
-	mux.Handle("/feedback", s.legacy("feedback", http.HandlerFunc(s.handleFeedback)))
-	mux.Handle("/healthz", s.legacy("healthz", http.HandlerFunc(s.handleHealthz)))
-	if s.opts.EnableAdmin {
-		mux.Handle("/admin/flip", s.legacy("admin_flip", http.HandlerFunc(s.handleFlip)))
-	}
 	return mux
-}
-
-// legacy wraps a /v1 handler as an unversioned deprecation shim: identical
-// behaviour (the handler is literally the same), plus the deprecation
-// signals. The per-endpoint counter is the fleet-wide "who still calls the
-// old paths" signal; smoke tooling asserts it stays 0 for new clients.
-func (s *Server) legacy(endpoint string, next http.Handler) http.Handler {
-	inst := s.instrument(endpoint, next)
-	ctr := s.reg.Counter(fmt.Sprintf("lite_http_legacy_requests_total{endpoint=%q}", endpoint))
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctr.Inc()
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s%s>; rel=\"successor-version\"", api.Version, r.URL.Path))
-		inst.ServeHTTP(w, r)
-	})
 }
 
 // StatusClientClosedRequest is the (nginx-convention) status recorded when

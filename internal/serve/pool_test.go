@@ -44,10 +44,10 @@ func TestPoolGaugesExposed(t *testing.T) {
 	}
 }
 
-// TestServeParallelScoringRace overlaps pooled batch scoring with
-// data-parallel adaptive updates and a hot-swap. Run with -race: the batcher
-// fans keys across the same pool each recommendation fans candidates
-// across, while retrains run FitWorkers=2 replicas concurrently.
+// TestServeParallelScoringRace overlaps pooled candidate scoring with
+// data-parallel adaptive updates and a hot-swap. Run with -race: concurrent
+// recommendations fan their candidates across the shared pool while
+// retrains run FitWorkers=2 replicas concurrently.
 func TestServeParallelScoringRace(t *testing.T) {
 	t.Cleanup(func() { core.SetScoreWorkers(0) })
 	s := newTestServer(t, Options{
@@ -55,7 +55,6 @@ func TestServeParallelScoringRace(t *testing.T) {
 		FitWorkers:    2,
 		DisableCache:  true,
 		UpdateBatch:   2,
-		BatchWindow:   time.Millisecond,
 		FeedbackQueue: 8,
 	})
 

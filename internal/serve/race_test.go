@@ -21,7 +21,6 @@ func TestConcurrentServingOverlapsHotSwap(t *testing.T) {
 		// small queue bounds the shutdown drain under the race detector.
 		DisableCache:  true,
 		UpdateBatch:   2,
-		BatchWindow:   time.Millisecond,
 		FeedbackQueue: 8,
 	})
 	envC, _ := ClusterByName("C")

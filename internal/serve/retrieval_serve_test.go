@@ -66,7 +66,7 @@ func TestDegradedTierCacheNotPinned(t *testing.T) {
 
 	// A gutted tuner answers every request from the safe-default tier —
 	// the permanently degraded worst case.
-	s := New(&core.Tuner{}, Options{DisableBatcher: true, CacheTTL: 30 * time.Second, Now: clock})
+	s := New(&core.Tuner{}, Options{CacheTTL: 30 * time.Second, Now: clock})
 
 	req := RecommendRequest{App: "WordCount", SizeMB: 512, Cluster: "C"}
 	r1, err := s.RecommendCtx(context.Background(), req)
@@ -112,7 +112,7 @@ func TestNECSTierStillCachesFullTTL(t *testing.T) {
 	advance := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
 
 	tuner, _ := testTuner(t)
-	s := New(tuner.CloneForUpdate(1), Options{DisableBatcher: true, CacheTTL: 30 * time.Second, Now: clock})
+	s := New(tuner.CloneForUpdate(1), Options{CacheTTL: 30 * time.Second, Now: clock})
 	req := RecommendRequest{App: "WordCount", SizeMB: 512, Cluster: "C"}
 	r1, err := s.RecommendCtx(context.Background(), req)
 	if err != nil {
@@ -148,7 +148,7 @@ func TestFaultProfileFingerprintsDistinct(t *testing.T) {
 
 func TestUnseenAppServedFromRetrievalTier(t *testing.T) {
 	store := testStore(t, "WordCount", "Terasort")
-	s := New(&core.Tuner{}, Options{DisableBatcher: true, Retrieval: store})
+	s := New(&core.Tuner{}, Options{Retrieval: store})
 
 	req := RecommendRequest{
 		App:      "BrandNewWordCountLike",

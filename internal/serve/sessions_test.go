@@ -215,65 +215,55 @@ func TestSessionErrorEnvelopes(t *testing.T) {
 	}
 }
 
-// TestLegacyShimEquivalence proves the unversioned routes are the same
-// handlers as /v1 — same answers — plus deprecation signals and the legacy
-// counter, which the /v1 routes must never touch.
-func TestLegacyShimEquivalence(t *testing.T) {
-	s, srv, _ := newSessionServer(t, Options{})
+// TestLegacyRoutesAnswer404Envelope: the unversioned spellings of the /v1
+// routes are gone. Each answers 404 with the standard error envelope, the
+// same as any unknown path, while its /v1 route still serves.
+func TestLegacyRoutesAnswer404Envelope(t *testing.T) {
+	_, srv, _ := newSessionServer(t, Options{EnableAdmin: true})
 
 	body := `{"app":"WordCount","size_mb":512,"cluster":"C"}`
-	post := func(path string) (*http.Response, RecommendResponse) {
-		t.Helper()
-		res, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer res.Body.Close()
-		if res.StatusCode != 200 {
-			t.Fatalf("POST %s: status %d", path, res.StatusCode)
-		}
-		var out RecommendResponse
-		if err := json.NewDecoder(res.Body).Decode(&out); err != nil {
-			t.Fatal(err)
-		}
-		return res, out
-	}
-
-	legacyRes, legacyOut := post("/recommend")
-	v1Res, v1Out := post("/v1/recommend")
-
-	if legacyOut.Tier != v1Out.Tier || len(legacyOut.Config) != len(v1Out.Config) {
-		t.Fatalf("shim answer differs: legacy %+v vs v1 %+v", legacyOut, v1Out)
-	}
-	if legacyRes.Header.Get("Deprecation") != "true" {
-		t.Fatal("legacy route missing Deprecation header")
-	}
-	if link := legacyRes.Header.Get("Link"); !strings.Contains(link, "/v1/recommend") {
-		t.Fatalf("legacy Link = %q, want successor-version /v1/recommend", link)
-	}
-	if v1Res.Header.Get("Deprecation") != "" {
-		t.Fatal("/v1 route answered with a Deprecation header")
-	}
-
-	if got := s.reg.Counter(`lite_http_legacy_requests_total{endpoint="recommend"}`).Value(); got != 1 {
-		t.Fatalf("legacy counter = %d after one legacy + one v1 call, want 1", got)
-	}
-
-	// Same equivalence for healthz, incl. error-path equivalence: both
-	// reject POST with the envelope.
-	for _, path := range []string{"/healthz", "/v1/healthz"} {
-		res, err := http.Post(srv.URL+path, "application/json", nil)
+	for _, tc := range []struct{ method, path string }{
+		{http.MethodPost, "/recommend"},
+		{http.MethodPost, "/feedback"},
+		{http.MethodGet, "/healthz"},
+		{http.MethodPost, "/admin/flip"},
+		{http.MethodGet, "/no/such/path"},
+	} {
+		req, _ := http.NewRequest(tc.method, srv.URL+tc.path, strings.NewReader(body))
+		res, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var env api.ErrorResponse
 		if err := json.NewDecoder(res.Body).Decode(&env); err != nil {
-			t.Fatalf("POST %s: envelope decode: %v", path, err)
+			t.Fatalf("%s %s: envelope decode: %v", tc.method, tc.path, err)
 		}
 		res.Body.Close()
-		if res.StatusCode != 405 || env.Error.Code != api.CodeMethodNotAllowed {
-			t.Fatalf("POST %s = (%d, %q), want (405, method_not_allowed)", path, res.StatusCode, env.Error.Code)
+		if res.StatusCode != http.StatusNotFound || env.Error.Code != api.CodeNotFound {
+			t.Fatalf("%s %s = (%d, %q), want (404, not_found)", tc.method, tc.path, res.StatusCode, env.Error.Code)
 		}
+	}
+
+	res, err := http.Post(srv.URL+"/v1/recommend", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Body.Close()
+	if res.StatusCode != http.StatusOK {
+		t.Fatalf("POST /v1/recommend: status %d, want 200", res.StatusCode)
+	}
+	// Wrong methods on a live /v1 route still get the 405 envelope.
+	res, err = http.Post(srv.URL+"/v1/healthz", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env api.ErrorResponse
+	if err := json.NewDecoder(res.Body).Decode(&env); err != nil {
+		t.Fatalf("POST /v1/healthz: envelope decode: %v", err)
+	}
+	res.Body.Close()
+	if res.StatusCode != http.StatusMethodNotAllowed || env.Error.Code != api.CodeMethodNotAllowed {
+		t.Fatalf("POST /v1/healthz = (%d, %q), want (405, method_not_allowed)", res.StatusCode, env.Error.Code)
 	}
 }
 

@@ -99,7 +99,7 @@ type RecommendResponse struct {
 	// SizeMB echoes the caller's requested datasize. Config and
 	// PredictedSeconds are bucket-granular: they are computed at the size
 	// bucket's canonical size (its power-of-two upper bound), so every
-	// request sharing a cache/batch key receives one consistent answer.
+	// request sharing a cache key receives one consistent answer.
 	SizeMB  float64 `json:"size_mb"`
 	Cluster string  `json:"cluster"`
 	// Config maps knob name → recommended value.
@@ -113,13 +113,10 @@ type RecommendResponse struct {
 	// Generation is the model snapshot that produced the answer.
 	Generation uint64 `json:"generation"`
 	// Cached is true when the answer came from the recommendation cache;
-	// Coalesced when this request shared another request's computation
-	// (singleflight or in-batch dedup).
+	// Coalesced when this request shared another request's in-flight
+	// computation (the cache's singleflight).
 	Cached    bool `json:"cached"`
 	Coalesced bool `json:"coalesced"`
-	// BatchSize is how many requests shared the inference batch (1 when
-	// the batcher is disabled or the answer was cached).
-	BatchSize int `json:"batch_size"`
 	// OverheadMS is the server-side decision time in milliseconds.
 	OverheadMS float64 `json:"overhead_ms"`
 }

@@ -95,8 +95,8 @@ echo "chaos-smoke: phase 1 server at $base"
 posted=7
 for _ in $(seq 1 "$posted"); do
     code="$(curl -s -o /dev/null -w '%{http_code}' -X POST -H 'Content-Type: application/json' \
-        -d '{"app":"WordCount","size_mb":512,"cluster":"C"}' "$base/feedback")"
-    [[ "$code" == "200" ]] || fail "phase 1 POST /feedback returned $code"
+        -d '{"app":"WordCount","size_mb":512,"cluster":"C"}' "$base/v1/feedback")"
+    [[ "$code" == "200" ]] || fail "phase 1 POST /v1/feedback returned $code"
 done
 
 scrape "$base" "$workdir/prekill.metrics"
@@ -130,8 +130,8 @@ lo=$((posted - folded_prekill - 8)); [[ $lo -lt 3 ]] && lo=3
     || fail "recovered $recovered records, want between $lo and $posted (fsynced feedback must survive SIGKILL)"
 
 code="$(curl -s -o /dev/null -w '%{http_code}' -X POST -H 'Content-Type: application/json' \
-    -d '{"app":"WordCount","size_mb":512,"cluster":"C"}' "$base/recommend")"
-[[ "$code" == "200" ]] || fail "POST /recommend after restart returned $code"
+    -d '{"app":"WordCount","size_mb":512,"cluster":"C"}' "$base/v1/recommend")"
+[[ "$code" == "200" ]] || fail "POST /v1/recommend after restart returned $code"
 
 wait "$loadpid" || true
 loadpid=""
@@ -172,8 +172,8 @@ gen_before="$(metric "$workdir/pre.metrics" lite_snapshot_generation)"
 
 for _ in 1 2; do
     code="$(curl -s -o /dev/null -w '%{http_code}' -X POST -H 'Content-Type: application/json' \
-        -d '{"app":"KMeans","size_mb":512,"cluster":"B"}' "$base/feedback")"
-    [[ "$code" == "200" ]] || fail "phase 2 POST /feedback returned $code"
+        -d '{"app":"KMeans","size_mb":512,"cluster":"B"}' "$base/v1/feedback")"
+    [[ "$code" == "200" ]] || fail "phase 2 POST /v1/feedback returned $code"
 done
 
 rejected=0
@@ -194,7 +194,7 @@ quarantined="$(metric "$workdir/post.metrics" lite_feedback_quarantined_total)"
 awk "BEGIN{exit !($backoff > 0)}" || fail "retrain backoff gauge is $backoff, want > 0"
 
 code="$(curl -s -o /dev/null -w '%{http_code}' -X POST -H 'Content-Type: application/json' \
-    -d '{"app":"KMeans","size_mb":512,"cluster":"B"}' "$base/recommend")"
+    -d '{"app":"KMeans","size_mb":512,"cluster":"B"}' "$base/v1/recommend")"
 [[ "$code" == "200" ]] || fail "serving broken after rejected swap ($code)"
 
 {
